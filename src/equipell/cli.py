@@ -84,18 +84,12 @@ def cmd_moments(args) -> int:
     return PASS
 
 
-def _solve(genset, t, tol, seed, samples, max_iter):
-    start = maxdet.feasible_start(genset, t, samples=samples, seed=seed)
-    return maxdet.solve_primal(
-        maxdet.assemble_instance(genset, t), start, tol=tol, max_iter=max_iter
-    )
-
-
 def cmd_verify(args) -> int:
     genset = sets.resolve_set(args.set)
     if args.source == "solver":
         tol = args.tol if args.tol is not None else 1e-6
-        report = _solve(genset, args.t, 1e-12, args.seed, args.samples, args.max_iter)
+        report = maxdet.solve(genset, args.t, tol=1e-12, samples=args.samples,
+                              seed=args.seed, max_iter=args.max_iter)
         phi = report.phi
     else:
         tol = args.tol if args.tol is not None else pellcheck.DEFAULT_TOL
@@ -114,7 +108,8 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     genset = sets.resolve_set(args.set)
     tol = args.tol if args.tol is not None else 1e-10
-    report = _solve(genset, args.t, tol, args.seed, args.samples, args.max_iter)
+    report = maxdet.solve(genset, args.t, tol=tol, samples=args.samples,
+                          seed=args.seed, max_iter=args.max_iter)
     _write_out(
         json.dumps(report.to_jsonable(include_trace=args.trace), indent=2),
         args.out,

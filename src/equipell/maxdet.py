@@ -3,15 +3,19 @@
 Minimizes -sum_g log det M_{t-t_g}(g . phi) over moment vectors with phi_0
 fixed to 1.  The normalization is handled by variable elimination, so the
 unknowns are the moments phi_alpha for alpha != 0 up to degree 2t.  Each
-block is an affine matrix function M_g(phi) = sum_alpha phi_alpha A_{g,alpha},
+block is an affine matrix function M_g(phi) = A_{g,0} + sum_a phi_a A_{g,a},
 giving the classical expressions
 
     gradient   g_a  = -sum_g tr(M_g^{-1} A_{g,a})
     Hessian    H_ab =  sum_g tr(M_g^{-1} A_{g,a} M_g^{-1} A_{g,b})
 
 and a self-concordant objective on which damped Newton with backtracking is
-globally convergent.  The Newton decrement drives termination; one final step
-is taken after the threshold is met, which squares the remaining error.
+globally convergent.  Each block keeps its A_{g,a} as one dense stack over
+the unknowns it touches, so with W = M_g^{-1} both are batched products over
+that stack: the gradient is -A^T vec(W) and the Hessian A^T (W ⊗ W) A, formed
+as (W A_a W) . A_b for all pairs at once.  The Newton decrement drives
+termination; one final step is taken after the threshold is met, which
+squares the remaining error.
 """
 
 from __future__ import annotations
@@ -42,12 +46,15 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class Block:
-    """One affine matrix block: generator, its monomial basis, and the
-    coefficient matrices keyed by moment index (the zero index included)."""
+    """One affine matrix block M_g(x) = const + sum_k x[index[k]] stack[k]:
+    the generator, its monomial basis, the coefficient matrix of phi_0 and
+    the stacked coefficient matrices of the unknowns the block touches."""
 
     generator: Poly
     basis: tuple
-    coeffs: dict
+    const: np.ndarray  # (s, s)
+    index: np.ndarray  # (k,) positions in the unknown vector, increasing
+    stack: np.ndarray  # (k, s, s)
 
 
 @dataclass(frozen=True)
@@ -62,17 +69,7 @@ class Instance:
         return len(self.var_alphas)
 
     def block_matrices(self, x: np.ndarray) -> list:
-        zero = (0,) * self.genset.n
-        out = []
-        lookup = dict(zip(self.var_alphas, x))
-        lookup[zero] = 1.0
-        for block in self.blocks:
-            size = len(block.basis)
-            m = np.zeros((size, size))
-            for alpha, a in block.coeffs.items():
-                m += lookup[alpha] * a
-            out.append(m)
-        return out
+        return [b.const + np.tensordot(x[b.index], b.stack, axes=1) for b in self.blocks]
 
     def sequence(self, x: np.ndarray) -> MomentSequence:
         zero = (0,) * self.genset.n
@@ -85,26 +82,48 @@ class Instance:
 
 
 def assemble_instance(genset: GeneratorSet, t: int) -> Instance:
-    """Build the per-generator coefficient matrices for order t."""
+    """Build the per-generator coefficient stacks for order t.
+
+    Entry (i, j) of block g collects g_gamma at alpha = a_i + b_j + gamma.
+    Exponents of degree <= 2t are coded in radix 2t + 1, where the code of a
+    sum is the sum of the codes, so one table lookup finds each alpha.
+    """
     active = genset.active(t)
     if not active:
         raise SolveError(f"no generator admissible at order t={t}")
-    var_alphas = tuple(a for a in monomial_basis(genset.n, 2 * t) if sum(a) > 0)
+    if len(active) == 1:
+        raise SolveError(
+            f"log-det program unbounded at order t={t}: only g_0 = 1 is active, "
+            f"so the degree-{2 * t} diagonal moments can grow without limit"
+        )
+    n = genset.n
+    full = monomial_basis(n, 2 * t)
+    place = (2 * t + 1) ** np.arange(n)
+    table = np.zeros((2 * t + 1) ** n, dtype=np.intp)
+    table[np.array(full) @ place] = np.arange(len(full))
     blocks = []
     for g in active:
-        basis = monomial_basis(genset.n, t - g.half_degree)
+        basis = monomial_basis(n, t - g.half_degree)
         size = len(basis)
-        coeffs: dict = {}
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                for gamma, c in g.terms.items():
-                    alpha = tuple(x + y + z for x, y, z in zip(a, b, gamma))
-                    mat = coeffs.get(alpha)
-                    if mat is None:
-                        mat = coeffs.setdefault(alpha, np.zeros((size, size)))
-                    mat[i, j] += float(c)
-        blocks.append(Block(generator=g, basis=basis, coeffs=coeffs))
-    return Instance(genset=genset, t=t, var_alphas=var_alphas, blocks=tuple(blocks))
+        codes = np.array(basis) @ place
+        gammas = np.array(list(g.terms)) @ place
+        values = np.array([float(c) for c in g.terms.values()])
+        where = table[gammas[:, None, None] + codes[:, None] + codes[None, :]]
+        used, slot = np.unique(where, return_inverse=True)
+        dense = np.zeros((len(used), size, size))
+        rows, cols = np.indices((size, size))
+        np.add.at(dense, (slot.reshape(where.shape), rows, cols), values[:, None, None])
+        has_const = int(used[0] == 0)
+        blocks.append(
+            Block(
+                generator=g,
+                basis=basis,
+                const=dense[0] if has_const else np.zeros((size, size)),
+                index=used[has_const:] - 1,
+                stack=dense[has_const:],
+            )
+        )
+    return Instance(genset=genset, t=t, var_alphas=full[1:], blocks=tuple(blocks))
 
 
 def _try_cholesky(m: np.ndarray):
@@ -129,31 +148,16 @@ def _objective(instance: Instance, x: np.ndarray):
 
 def _derivatives(instance: Instance, factors: list):
     k = instance.n_vars
-    index = {a: i for i, a in enumerate(instance.var_alphas)}
     grad = np.zeros(k)
     hess = np.zeros((k, k))
     for block, lower in zip(instance.blocks, factors):
-        eye = np.eye(lower.shape[0])
-        inv_l = solve_triangular(lower, eye, lower=True)
+        inv_l = solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
         inv_m = inv_l.T @ inv_l
-        support = [a for a in block.coeffs if sum(a) > 0]
-        ka = {a: block.coeffs[a] for a in support}
-        for a in support:
-            grad[index[a]] -= float(np.sum(inv_m * ka[a]))
-        # tr(M^-1 A_a M^-1 A_b) accumulated over the block's support.
-        sandwich = {a: inv_m @ ka[a] @ inv_m for a in support}
-        for a in support:
-            wa = sandwich[a]
-            ia = index[a]
-            for b in support:
-                ib = index[b]
-                if ib < ia:
-                    continue
-                v = float(np.sum(wa * ka[b]))
-                hess[ia, ib] += v
-                if ib != ia:
-                    hess[ib, ia] += v
-    return grad, hess
+        flat = block.stack.reshape(len(block.index), -1)
+        grad[block.index] -= flat @ inv_m.ravel()
+        sandwich = (inv_m @ block.stack @ inv_m).reshape(flat.shape)
+        hess[np.ix_(block.index, block.index)] += sandwich @ flat.T
+    return grad, 0.5 * (hess + hess.T)
 
 
 @dataclass
@@ -172,6 +176,7 @@ class SolveReport:
     converged: bool
     tol: float
     trace: list = field(default_factory=list)
+    start_time: float | None = None  # seconds in feasible_start, set by solve()
 
     def to_jsonable(self, include_trace: bool = False) -> dict:
         basis = monomial_basis(self.phi.n, 2 * self.t)
@@ -190,6 +195,7 @@ class SolveReport:
             "iterations": self.iterations,
             "backtracks": self.backtracks,
             "wall_time_s": self.wall_time,
+            "start_time_s": self.start_time,
             "converged": self.converged,
             "tol": self.tol,
         }
@@ -200,14 +206,13 @@ class SolveReport:
 
 def _dual_residual_poly(instance: Instance, q_list: list) -> Poly:
     """sum_g g * v^T Q_g v minus the block-size constant, as a polynomial."""
-    n = instance.genset.n
-    out = Poly.zero(n, exact=False)
+    coeffs = np.zeros(instance.n_vars + 1)
     for block, q in zip(instance.blocks, q_list):
-        coeffs: dict = {}
-        for alpha, a in block.coeffs.items():
-            coeffs[alpha] = coeffs.get(alpha, 0.0) + float(np.sum(q * a))
-        out = out + Poly(n, coeffs, exact=False)
-    return out - float(instance.genset.pell_constant(instance.t))
+        coeffs[0] += np.vdot(block.const, q)
+        coeffs[1 + block.index] += block.stack.reshape(len(block.index), -1) @ q.ravel()
+    coeffs[0] -= instance.genset.pell_constant(instance.t)
+    alphas = ((0,) * instance.genset.n, *instance.var_alphas)
+    return Poly(instance.genset.n, dict(zip(alphas, coeffs.tolist())), exact=False)
 
 
 def solve_primal(
@@ -346,18 +351,41 @@ def feasible_start(
     t: int,
     samples: int = 200_000,
     seed: int = 0,
+    instance: Instance | None = None,
 ) -> MomentSequence:
     """Uniform-measure start, retried with a larger budget if a block is
-    near-singular (possible only when too few points were accepted)."""
+    near-singular (possible only when too few points were accepted).
+    `instance` is the order-t assembly, built here when not given."""
+    if instance is None:
+        instance = assemble_instance(genset, t)
     budget = samples
     for attempt in range(3):
         phi = measures.uniform_start_moments(genset, t, samples=budget, seed=seed + attempt)
-        instance = assemble_instance(genset, t)
         value, _ = _objective(instance, instance.vector(phi))
         if value is not None:
             return phi
         budget *= 4
     raise SolveError("could not produce a strictly feasible start")
+
+
+def solve(
+    genset: GeneratorSet,
+    t: int,
+    tol: float = 1e-10,
+    samples: int = 200_000,
+    seed: int = 0,
+    max_iter: int = 200,
+) -> SolveReport:
+    """Assemble order t once, draw the feasible start and run damped Newton.
+    The report's start_time holds the feasible-start seconds; its wall_time
+    covers Newton and the dual only."""
+    instance = assemble_instance(genset, t)
+    begin = time.perf_counter()
+    start = feasible_start(genset, t, samples=samples, seed=seed, instance=instance)
+    start_time = time.perf_counter() - begin
+    report = solve_primal(instance, start, tol=tol, max_iter=max_iter)
+    report.start_time = start_time
+    return report
 
 
 @dataclass(frozen=True)
@@ -417,10 +445,7 @@ def extension_sweep(
     aborted_at = None
     for t in range(t_from, t_to + 1):
         try:
-            start = feasible_start(genset, t, samples=samples, seed=seed)
-            report = solve_primal(
-                assemble_instance(genset, t), start, tol=tol, max_iter=max_iter
-            )
+            report = solve(genset, t, tol=tol, samples=samples, seed=seed, max_iter=max_iter)
         except (SolveError, measures.SamplingError):
             aborted_at = t
             break

@@ -260,6 +260,21 @@ def quadrature_moment(weight, region: str, alpha, level: int) -> float:
 # -- feasible starts --------------------------------------------------------
 
 
+# Points are drawn, tested and turned into moments this many at a time, so
+# the working arrays stay small whatever the sample budget.  The draws and the
+# acceptance test are the same as for one draw of all the points.
+START_CHUNK = 1024
+
+
+def _power_table(col: np.ndarray, top: int) -> np.ndarray:
+    """Rows col^0 .. col^top, each row the previous one times col."""
+    table = np.empty((top + 1, col.size))
+    table[0] = 1.0
+    for e in range(1, top + 1):
+        np.multiply(table[e - 1], col, out=table[e])
+    return table
+
+
 def uniform_start_moments(
     genset: GeneratorSet,
     t: int,
@@ -275,25 +290,32 @@ def uniform_start_moments(
     """
     rng = np.random.default_rng(seed)
     half = float(np.sqrt(float(genset.radius)))
-    pts = rng.uniform(-half, half, size=(samples, genset.n))
-    coords = tuple(pts[:, i] for i in range(genset.n))
-    mask = np.ones(samples, dtype=bool)
-    for g in genset.generators:
-        mask &= g.to_float().evaluate(coords) >= 0.0
-    accepted = pts[mask]
+    generators = [g.to_float() for g in genset.generators]
+    # The sum over points of x^alpha is one matrix product per chunk: the
+    # monomials in all but the last coordinate (the distinct exponent heads)
+    # against the powers of the last coordinate.
+    basis = monomial_basis(genset.n, 2 * t)
+    exponents = np.array(basis)
+    heads, head_of = np.unique(exponents[:, :-1], axis=0, return_inverse=True)
+    sums = np.zeros((len(heads), 2 * t + 1))
+    kept = 0
+    for lo in range(0, samples, START_CHUNK):
+        pts = rng.uniform(-half, half, size=(min(START_CHUNK, samples - lo), genset.n))
+        coords = tuple(pts[:, i] for i in range(genset.n))
+        mask = np.ones(pts.shape[0], dtype=bool)
+        for g in generators:
+            mask &= g.evaluate(coords) >= 0.0
+        chunk = pts[mask]
+        kept += chunk.shape[0]
+        lead = np.ones((len(heads), chunk.shape[0]))
+        for i in range(genset.n - 1):
+            lead *= _power_table(chunk[:, i], 2 * t)[heads[:, i]]
+        sums += lead @ _power_table(chunk[:, -1], 2 * t).T
     minimum = max(1_000, 20 * basis_size(genset.n, 2 * t))
-    if accepted.shape[0] < minimum:
-        rate = accepted.shape[0] / samples
+    if kept < minimum:
         raise SamplingError(
-            f"acceptance rate {rate:.2e} left {accepted.shape[0]} points "
+            f"acceptance rate {kept / samples:.2e} left {kept} points "
             f"(need {minimum}); increase the sample budget"
         )
-    cols = tuple(accepted[:, i] for i in range(genset.n))
-    values = {}
-    for alpha in monomial_basis(genset.n, 2 * t):
-        mono = np.ones(accepted.shape[0])
-        for c, e in zip(cols, alpha):
-            if e:
-                mono = mono * c**e
-        values[alpha] = float(np.mean(mono))
-    return MomentSequence(genset.n, 2 * t, values)
+    means = sums[head_of.reshape(-1), exponents[:, -1]] / kept
+    return MomentSequence(genset.n, 2 * t, dict(zip(basis, means.tolist())))
