@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .momkit import (
     GeneratorSet,
@@ -39,32 +38,43 @@ class SingularMatrixError(ArithmeticError):
         self.generator = generator
 
 
-def _first_bad_pivot(m: np.ndarray, threshold: float) -> int | None:
-    """Index of the first Cholesky pivot at or below threshold, else None."""
-    a = m.astype(float).copy()
-    k = a.shape[0]
-    for i in range(k):
-        d = a[i, i]
-        if d <= threshold:
-            return i
-        a[i, i:] /= np.sqrt(d)
-        for j in range(i + 1, k):
-            a[j, j:] -= a[i, j] * a[i, j:]
-    return None
+def _leading_pivot(m: np.ndarray, k: int) -> float:
+    """Cholesky pivot k of m, from its leading block; -inf if it breaks down."""
+    try:
+        return np.linalg.cholesky(m[: k + 1, : k + 1])[k, k] ** 2
+    except np.linalg.LinAlgError:
+        return -np.inf
 
 
 def checked_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, or SingularMatrixError naming the failing pivot."""
+    """Lower Cholesky factor, or SingularMatrixError naming the failing pivot.
+
+    The pivots are the squared diagonal of the factor.  Only when the
+    factorization breaks down are they recomputed from leading blocks, to
+    find where.
+    """
     m = np.asarray(m, dtype=float)
     threshold = PIVOT_RTOL * float(np.max(np.diag(m)))
-    bad = _first_bad_pivot(m, threshold)
-    if bad is not None:
+    try:
+        lower = np.linalg.cholesky(m)
+        pivots = np.diag(lower) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.array([_leading_pivot(m, k) for k in range(len(m))])
+    bad = np.flatnonzero(pivots <= threshold)
+    if bad.size:
         raise SingularMatrixError(
-            f"matrix not positive definite: pivot {bad} below "
+            f"matrix not positive definite: pivot {bad[0]} below "
             f"{threshold:.3e}",
-            pivot=bad,
+            pivot=int(bad[0]),
         )
-    return np.linalg.cholesky(m)
+    return lower
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower Cholesky factor.  np.linalg.inv pivots rows and
+    leaves roundoff above the diagonal, which np.tril drops so that the
+    orthonormal family stays triangular."""
+    return np.tril(np.linalg.inv(lower))
 
 
 def _exact_inverse(mat: MomentMatrix):
@@ -135,8 +145,7 @@ def orthonormal_basis(mat: MomentMatrix) -> OrthonormalBasis:
     coefficients (L has a positive diagonal).
     """
     m = mat.to_float()
-    lower = checked_cholesky(m.entries)
-    inv_l = solve_triangular(lower, np.eye(len(mat.basis)), lower=True)
+    inv_l = _lower_inverse(checked_cholesky(m.entries))
     n = len(mat.basis[0])
     polys = []
     for row in inv_l:
@@ -146,14 +155,14 @@ def orthonormal_basis(mat: MomentMatrix) -> OrthonormalBasis:
 
 
 def christoffel_eval(mat: MomentMatrix, point) -> float:
-    """Evaluate v^T M^{-1} v at a point via triangular solves."""
+    """Evaluate v^T M^{-1} v at a point as |L^{-1} v|^2, L the Cholesky factor."""
     m = mat.to_float()
     lower = checked_cholesky(m.entries)
     point = tuple(float(c) for c in point)
     v = np.array(
         [float(np.prod([c**e for c, e in zip(point, a)])) for a in mat.basis]
     )
-    y = solve_triangular(lower, v, lower=True)
+    y = np.linalg.solve(lower, v)
     return float(y @ y)
 
 
@@ -223,8 +232,7 @@ def weak_convergence_probe(
 def trace_identity_value(mat: MomentMatrix) -> float:
     """<M, M^{-1}>, which equals the basis size for any PD matrix."""
     m = mat.to_float()
-    lower = checked_cholesky(m.entries)
-    inv_l = solve_triangular(lower, np.eye(m.size), lower=True)
+    inv_l = _lower_inverse(checked_cholesky(m.entries))
     return float(np.trace(inv_l.T @ inv_l @ m.entries))
 
 

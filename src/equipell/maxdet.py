@@ -24,9 +24,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from . import measures
+from .christoffel import _lower_inverse
 from .momkit import (
     GeneratorSet,
     MomentMatrix,
@@ -151,7 +151,7 @@ def _derivatives(instance: Instance, factors: list):
     grad = np.zeros(k)
     hess = np.zeros((k, k))
     for block, lower in zip(instance.blocks, factors):
-        inv_l = solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
+        inv_l = _lower_inverse(lower)
         inv_m = inv_l.T @ inv_l
         flat = block.stack.reshape(len(block.index), -1)
         grad[block.index] -= flat @ inv_m.ravel()
@@ -241,7 +241,7 @@ def solve_primal(
             if shift > 1.0:
                 raise SolveError("Hessian numerically singular")
             lower_h = _try_cholesky(hess + shift * np.eye(len(grad)))
-        direction = cho_solve((lower_h, True), -grad)
+        direction = np.linalg.solve(lower_h.T, np.linalg.solve(lower_h, -grad))
         decrement_sq = float(-grad @ direction)
         if decrement_sq < 0.0:
             decrement_sq = 0.0
@@ -287,7 +287,7 @@ def solve_primal(
     q_list = []
     rho_dual = 0.0
     for lower in factors:
-        inv_l = solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
+        inv_l = _lower_inverse(lower)
         q = inv_l.T @ inv_l
         q_list.append(q)
         rho_dual += 2.0 * float(np.sum(np.log(np.diag(inv_l))))

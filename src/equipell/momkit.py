@@ -66,11 +66,6 @@ class MomentSequence:
             self.n, self.order, {a: float(v) for a, v in self.values.items()}
         )
 
-    def vector(self, basis=None) -> np.ndarray:
-        """Values as a float array over the given (default: full) basis."""
-        basis = basis if basis is not None else monomial_basis(self.n, self.order)
-        return np.array([float(self.value(a)) for a in basis])
-
     @classmethod
     def from_function(cls, n: int, order: int, fn) -> "MomentSequence":
         return cls(n, order, {a: fn(a) for a in monomial_basis(n, order)})

@@ -21,11 +21,6 @@ from functools import lru_cache
 from math import comb
 
 
-def degree_of(alpha) -> int:
-    """Total degree of an exponent tuple."""
-    return sum(alpha)
-
-
 @lru_cache(maxsize=None)
 def monomial_basis(n: int, t: int) -> tuple:
     """All exponent tuples of total degree <= t in graded-lex order.

@@ -10,6 +10,7 @@ import pytest
 import equipell as eq
 from equipell.christoffel import (
     SingularMatrixError,
+    checked_cholesky,
     christoffel_eval,
     christoffel_inverse_poly,
     orthonormal_basis,
@@ -163,6 +164,33 @@ def test_singular_matrix_error_names_pivot():
     )
     with pytest.raises(SingularMatrixError):
         christoffel_inverse_poly(exact)
+
+
+@pytest.mark.parametrize(
+    "diagonal, pivot",
+    [
+        ([1.0, 1e-14], 1),  # factorizes; the pivot is read off the factor
+        ([1.0, 1e-14, -1.0], 1),  # breaks down at 2, but pivot 1 is too small
+        ([1.0, 2.0, -1.0], 2),
+    ],
+)
+def test_checked_cholesky_names_first_pivot_below_tolerance(diagonal, pivot):
+    with pytest.raises(SingularMatrixError) as err:
+        checked_cholesky(np.diag(diagonal))
+    assert err.value.pivot == pivot
+
+
+def test_orthonormal_family_is_exactly_triangular(model_moments):
+    rng = np.random.default_rng(11)
+    basis = monomial_basis(2, 3)
+    mats = (
+        moment_matrix(model_moments("simplex2d", 8), 4).to_float(),
+        MomentMatrix(basis, _random_pd_matrix(rng, len(basis))),
+    )
+    for mat in mats:
+        for k, p in enumerate(orthonormal_basis(mat).polys):
+            assert set(p.terms) <= set(mat.basis[: k + 1])
+            assert mat.basis[k] in p.terms
 
 
 def test_trace_identity(model_moments):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report formats."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -209,6 +210,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_zero"] is True
+
+
+def test_import_loads_numpy_but_not_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eq.__file__)))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, equipell, equipell.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['numpy']"]
 
 
 def test_missing_subcommand_is_usage_error():
