@@ -1,10 +1,11 @@
 """Christoffel polynomials, orthonormal bases, and the normalized density probe.
 
 The reciprocal Christoffel polynomial of a positive definite moment matrix M
-over basis v is v(x)^T M^{-1} v(x).  On the float backend it is assembled as
-sum of squares of the triangular orthonormal family obtained from a Cholesky
-factor; on the exact backend M is inverted with Fraction arithmetic so that
-polynomial identities come out exactly.
+over basis v is v(x)^T M^{-1} v(x), and its product with a generator g is
+the adjoint of g's localizing map (momkit.BlockMap) applied to M^{-1}.  On
+the exact backend M is inverted with Fraction arithmetic so that polynomial
+identities come out exactly; on the float backend M^{-1} = L^{-T} L^{-1}
+from a checked Cholesky factor L.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .momkit import (
     GeneratorSet,
     MomentMatrix,
     MomentSequence,
+    block_map,
     localizing_matrix,
     riesz_apply,
 )
@@ -106,27 +108,30 @@ def _exact_inverse(mat: MomentMatrix):
     return inv
 
 
-def christoffel_inverse_poly(mat: MomentMatrix) -> Poly:
-    """The polynomial v^T M^{-1} v; exact when the matrix is exact.
-
-    On floats this is built as the sum of squares of the orthonormal family,
-    which keeps it nonnegative by construction.
-    """
+def christoffel_inverse_poly(mat: MomentMatrix, generator: Poly | None = None) -> Poly:
+    """g * v^T M^{-1} v (g = 1 by default), exact when M is exact; a singular
+    M raises SingularMatrixError, naming the generator when one is given."""
     n = len(mat.basis[0])
-    if mat.is_exact:
-        inv = _exact_inverse(mat)
-        out = Poly.zero(n)
-        for i, a in enumerate(mat.basis):
-            for j, b in enumerate(mat.basis):
-                c = inv[i][j]
-                if c:
-                    out = out + Poly.monomial(tuple(x + y for x, y in zip(a, b)), c)
-        return out
-    polys = orthonormal_basis(mat).polys
-    out = Poly.zero(n, exact=False)
-    for p in polys:
-        out = out + p * p
-    return out
+    g = Poly.constant(n, 1) if generator is None else generator
+    bmap = block_map(g, sum(mat.basis[-1]) + g.half_degree)
+    if bmap.basis != tuple(mat.basis):
+        raise ValueError("matrix basis is not a graded monomial basis")
+    try:
+        if mat.is_exact:
+            inv = np.array(_exact_inverse(mat), dtype=object)
+        else:
+            inv_l = _lower_inverse(checked_cholesky(mat.entries))
+            inv = inv_l.T @ inv_l
+    except SingularMatrixError as err:
+        if generator is None:
+            raise
+        raise SingularMatrixError(
+            f"localizing matrix for generator {g!r} is singular "
+            f"(pivot {err.pivot})",
+            pivot=err.pivot,
+            generator=g,
+        ) from None
+    return Poly(n, dict(zip(bmap.alphas, bmap.adjoint(inv))), exact=mat.is_exact)
 
 
 @dataclass(frozen=True)
@@ -176,17 +181,7 @@ def pstar_density(genset: GeneratorSet, phi: MomentSequence, t: int) -> Poly:
     total = Poly.zero(genset.n, exact=exact)
     for g in genset.active(t):
         block = localizing_matrix(phi, g, t - g.half_degree)
-        try:
-            lam = christoffel_inverse_poly(block)
-        except SingularMatrixError as err:
-            raise SingularMatrixError(
-                f"localizing matrix for generator {g!r} is singular "
-                f"(pivot {err.pivot})",
-                pivot=err.pivot,
-                generator=g,
-            ) from None
-        contribution = (g if exact else g.to_float()) * lam
-        total = total + contribution
+        total = total + christoffel_inverse_poly(block, g)
     constant = genset.pell_constant(t)
     return total / constant if exact else total * (1.0 / constant)
 

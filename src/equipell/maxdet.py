@@ -10,12 +10,13 @@ giving the classical expressions
     Hessian    H_ab =  sum_g tr(M_g^{-1} A_{g,a} M_g^{-1} A_{g,b})
 
 and a self-concordant objective on which damped Newton with backtracking is
-globally convergent.  Each block keeps its A_{g,a} as one dense stack over
-the unknowns it touches, so with W = M_g^{-1} both are batched products over
-that stack: the gradient is -A^T vec(W) and the Hessian A^T (W ⊗ W) A, formed
-as (W A_a W) . A_b for all pairs at once.  The Newton decrement drives
-termination; one final step is taken after the threshold is met, which
-squares the remaining error.
+globally convergent.  Each block is a momkit.BlockMap that keeps its A_{g,a}
+as one dense stack over the unknowns it touches, so with W = M_g^{-1} both
+are batched products over that stack: the gradient is -A^T vec(W) and the
+Hessian A^T (W ⊗ W) A, formed as (W A_a W) . A_b for all pairs at once.  The
+stationarity residual is the sum of the blocks' adjoints of W, as in the Pell
+residual.  The Newton decrement drives termination; one final step is taken
+after the threshold is met, which squares the remaining error.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ import numpy as np
 from . import measures
 from .christoffel import _lower_inverse
 from .momkit import (
+    BlockMap,
     GeneratorSet,
     MomentMatrix,
     MomentSequence,
+    block_map,
     extension_distance,
 )
 from .mvpoly import Poly, monomial_basis
@@ -45,13 +48,11 @@ class SolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Block:
-    """One affine matrix block M_g(x) = const + sum_k x[index[k]] stack[k]:
-    the generator, its monomial basis, the coefficient matrix of phi_0 and
-    the stacked coefficient matrices of the unknowns the block touches."""
+class Block(BlockMap):
+    """The block map of one generator with its affine form
+    M_g(x) = const + sum_k x[index[k]] stack[k]: the coefficient matrix of
+    phi_0 and the stacked coefficient matrices of the unknowns it touches."""
 
-    generator: Poly
-    basis: tuple
     const: np.ndarray  # (s, s)
     index: np.ndarray  # (k,) positions in the unknown vector, increasing
     stack: np.ndarray  # (k, s, s)
@@ -84,9 +85,9 @@ class Instance:
 def assemble_instance(genset: GeneratorSet, t: int) -> Instance:
     """Build the per-generator coefficient stacks for order t.
 
-    Entry (i, j) of block g collects g_gamma at alpha = a_i + b_j + gamma.
-    Exponents of degree <= 2t are coded in radix 2t + 1, where the code of a
-    sum is the sum of the codes, so one table lookup finds each alpha.
+    Entry (i, j) of block g collects g_gamma at alpha = a_i + b_j + gamma,
+    the positions BlockMap.where holds; the stack keeps one dense slice per
+    alpha the block touches.
     """
     active = genset.active(t)
     if not active:
@@ -96,34 +97,25 @@ def assemble_instance(genset: GeneratorSet, t: int) -> Instance:
             f"log-det program unbounded at order t={t}: only g_0 = 1 is active, "
             f"so the degree-{2 * t} diagonal moments can grow without limit"
         )
-    n = genset.n
-    full = monomial_basis(n, 2 * t)
-    place = (2 * t + 1) ** np.arange(n)
-    table = np.zeros((2 * t + 1) ** n, dtype=np.intp)
-    table[np.array(full) @ place] = np.arange(len(full))
     blocks = []
     for g in active:
-        basis = monomial_basis(n, t - g.half_degree)
-        size = len(basis)
-        codes = np.array(basis) @ place
-        gammas = np.array(list(g.terms)) @ place
-        values = np.array([float(c) for c in g.terms.values()])
-        where = table[gammas[:, None, None] + codes[:, None] + codes[None, :]]
-        used, slot = np.unique(where, return_inverse=True)
+        bmap = block_map(g, t)
+        size = len(bmap.basis)
+        values = np.array([float(c) for c in bmap.coeffs])
+        used, slot = np.unique(bmap.where, return_inverse=True)
         dense = np.zeros((len(used), size, size))
         rows, cols = np.indices((size, size))
-        np.add.at(dense, (slot.reshape(where.shape), rows, cols), values[:, None, None])
+        np.add.at(dense, (slot.reshape(bmap.where.shape), rows, cols), values[:, None, None])
         has_const = int(used[0] == 0)
         blocks.append(
             Block(
-                generator=g,
-                basis=basis,
+                **vars(bmap),
                 const=dense[0] if has_const else np.zeros((size, size)),
                 index=used[has_const:] - 1,
                 stack=dense[has_const:],
             )
         )
-    return Instance(genset=genset, t=t, var_alphas=full[1:], blocks=tuple(blocks))
+    return Instance(genset=genset, t=t, var_alphas=blocks[0].alphas[1:], blocks=tuple(blocks))
 
 
 def _try_cholesky(m: np.ndarray):
@@ -206,12 +198,9 @@ class SolveReport:
 
 def _dual_residual_poly(instance: Instance, q_list: list) -> Poly:
     """sum_g g * v^T Q_g v minus the block-size constant, as a polynomial."""
-    coeffs = np.zeros(instance.n_vars + 1)
-    for block, q in zip(instance.blocks, q_list):
-        coeffs[0] += np.vdot(block.const, q)
-        coeffs[1 + block.index] += block.stack.reshape(len(block.index), -1) @ q.ravel()
+    coeffs = sum(block.adjoint(q) for block, q in zip(instance.blocks, q_list))
     coeffs[0] -= instance.genset.pell_constant(instance.t)
-    alphas = ((0,) * instance.genset.n, *instance.var_alphas)
+    alphas = instance.blocks[0].alphas
     return Poly(instance.genset.n, dict(zip(alphas, coeffs.tolist())), exact=False)
 
 
@@ -300,7 +289,7 @@ def solve_primal(
         rho_dual=rho_dual,
         phi=phi,
         q_matrices={
-            poly_key(block.generator): MomentMatrix(block.basis, q)
+            repr(block.generator): MomentMatrix(block.basis, q)
             for block, q in zip(instance.blocks, q_list)
         },
         stationarity_residual_max=float(residual.max_coeff()),
@@ -312,10 +301,6 @@ def solve_primal(
         tol=tol,
         trace=trace,
     )
-
-
-def poly_key(g: Poly) -> str:
-    return repr(g)
 
 
 @dataclass(frozen=True)

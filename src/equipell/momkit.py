@@ -4,7 +4,9 @@ A sequence of order 2t stores one value per exponent tuple of degree <= 2t.
 Values are either all Fraction (exact backend) or all float.  The moment
 matrix of order t has entries phi[a + b] over the graded-lex monomial basis;
 the localizing matrix of a generator g is the moment matrix of the shifted
-sequence (g . phi)_a = sum_gamma g_gamma phi_{a + gamma}.
+sequence (g . phi)_a = sum_gamma g_gamma phi_{a + gamma}.  Both are one
+linear map, BlockMap.matrix, whose adjoint BlockMap.adjoint turns a matrix
+Q back into the coefficients of the polynomial g * v^T Q v.
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ class GeneratorSet:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         for g in self.generators:
-            if not isinstance(g, Poly) or g.n != self.n:
-                raise ValueError("generators must be Poly values of matching dimension")
+            if not isinstance(g, Poly) or g.n != self.n or g.is_zero():
+                raise ValueError("generators must be nonzero Poly values of matching dimension")
 
     @property
     def unit(self) -> Poly:
@@ -180,20 +182,64 @@ def shifted_sequence(phi: MomentSequence, g: Poly) -> MomentSequence:
     return MomentSequence(phi.n, new_order, values)
 
 
+@dataclass(frozen=True)
+class BlockMap:
+    """The localizing map phi -> M_{t-t_g}(g . phi) at order t, and its adjoint.
+
+    Block entry (i, j) is sum_k g_k phi[alphas[where[k, i, j]]], where
+    where[k, i, j] is the position of a_i + b_j + gamma_k.  matrix() and
+    adjoint() take Fraction (object) or float arrays alike.
+    """
+
+    generator: Poly
+    basis: tuple  # monomial_basis(n, t - half_degree(g))
+    alphas: tuple  # monomial_basis(n, 2t)
+    where: np.ndarray  # (k_g, s, s) positions in alphas
+    coeffs: tuple  # g's coefficients, in the order of where
+
+    def _coeffs(self, arr):
+        """g's coefficients in arr's scalar type; None where g_k = 1, whose
+        product is skipped (it is every entry of a moment matrix)."""
+        exact = arr.dtype == object
+        return [None if c == 1 else c if exact else float(c) for c in self.coeffs]
+
+    def matrix(self, values: np.ndarray) -> np.ndarray:
+        """sum_k g_k values[where[k]]; `values` is indexed like alphas."""
+        pairs = zip(self._coeffs(values), self.where)
+        terms = [values[w] if c is None else c * values[w] for c, w in pairs]
+        return sum(terms[1:], terms[0])
+
+    def adjoint(self, q: np.ndarray) -> np.ndarray:
+        """Coefficients over alphas of g * v^T Q v: each g_k Q added at where[k]."""
+        out = np.zeros(len(self.alphas), dtype=q.dtype)
+        for c, w in zip(self._coeffs(q), self.where):
+            np.add.at(out, w, q if c is None else c * q)
+        return out
+
+
+def block_map(g: Poly, t: int) -> BlockMap:
+    """The localizing map of g at order t.  Exponents of degree <= 2t are
+    coded in radix 2t + 1, where the code of a sum is the sum of the codes,
+    so a sorted table of the codes of alphas finds each a_i + b_j + gamma_k.
+    """
+    n = g.n
+    alphas = monomial_basis(n, 2 * t)
+    basis = monomial_basis(n, t - g.half_degree)
+    place = (2 * t + 1) ** np.arange(n)
+    table = np.array(alphas) @ place
+    order = np.argsort(table)
+    codes = np.array(basis) @ place
+    gammas = np.array(list(g.terms), dtype=np.intp).reshape(-1, n) @ place
+    sums = gammas[:, None, None] + codes[:, None] + codes[None, :]
+    where = order[np.searchsorted(table, sums, sorter=order)]
+    return BlockMap(g, basis, alphas, where, tuple(g.terms.values()))
+
+
 def moment_matrix(phi: MomentSequence, t: int) -> MomentMatrix:
     """M_t(phi) with entries phi[a + b]."""
     if 2 * t > phi.order:
         raise ValueError(f"degree overflow: 2t = {2 * t} > order {phi.order}")
-    basis = monomial_basis(phi.n, t)
-    m = len(basis)
-    entries = np.empty((m, m), dtype=object if phi.is_exact else float)
-    for i, a in enumerate(basis):
-        for j in range(i, m):
-            b = basis[j]
-            v = phi.value(tuple(x + y for x, y in zip(a, b)))
-            entries[i, j] = v
-            entries[j, i] = v
-    return MomentMatrix(basis, entries)
+    return localizing_matrix(phi, Poly.constant(phi.n, 1), t)
 
 
 def localizing_matrix(phi: MomentSequence, g: Poly, t: int) -> MomentMatrix:
@@ -203,7 +249,13 @@ def localizing_matrix(phi: MomentSequence, g: Poly, t: int) -> MomentMatrix:
             f"degree overflow: need order {2 * t + 2 * g.half_degree}, "
             f"have {phi.order}"
         )
-    return moment_matrix(shifted_sequence(phi.restrict(2 * t + 2 * g.half_degree), g), t)
+    if g.n != phi.n:
+        raise ValueError(f"dimension mismatch: {g.n} vs {phi.n}")
+    bmap = block_map(g, t + g.half_degree)
+    values = np.array(
+        [phi.values[a] for a in bmap.alphas], dtype=object if phi.is_exact else float
+    )
+    return MomentMatrix(bmap.basis, bmap.matrix(values))
 
 
 def extension_distance(phi_low: MomentSequence, phi_high: MomentSequence) -> float:

@@ -12,18 +12,15 @@ from math import comb
 
 import numpy as np
 
-from .christoffel import (
-    SingularMatrixError,
-    christoffel_inverse_poly,
-    orthonormal_basis,
-)
+from .christoffel import christoffel_inverse_poly, orthonormal_basis
 from .momkit import (
     GeneratorSet,
     MomentMatrix,
     MomentSequence,
+    block_map,
     localizing_matrix,
 )
-from .mvpoly import Poly, chebyshev, monomial_basis, poly_to_literal
+from .mvpoly import Poly, chebyshev, poly_to_literal
 
 DEFAULT_TOL = 1e-9
 SAMPLE_POINTS = 100
@@ -82,16 +79,7 @@ def generalized_pell_residual(
     per_generator = []
     for g in genset.active(t):
         block = localizing_matrix(phi, g, t - g.half_degree)
-        try:
-            lam = christoffel_inverse_poly(block)
-        except SingularMatrixError as err:
-            raise SingularMatrixError(
-                f"localizing matrix for generator {g!r} is singular "
-                f"(pivot {err.pivot})",
-                pivot=err.pivot,
-                generator=g,
-            ) from None
-        term = (g if exact else g.to_float()) * lam
+        term = christoffel_inverse_poly(block, g)
         residual = residual + term
         per_generator.append(
             {
@@ -183,16 +171,14 @@ def certificate_to_moments(
     a single moment sequence reproduces both.
     """
     n = g.n
-    t_g = g.half_degree
-    basis_p = monomial_basis(n, t)
-    basis_q = monomial_basis(n, t - t_g)
+    # phi -> M_t(phi) and phi -> M_{t-t_g}(g . phi), over the same alphas.
+    maps = (block_map(Poly.constant(n, 1), t), block_map(g, t))
     p_gram = np.asarray(p_gram, dtype=float)
     q_gram = np.asarray(q_gram, dtype=float)
-    if p_gram.shape != (len(basis_p), len(basis_p)):
-        raise ValueError(f"p_gram must be {len(basis_p)}x{len(basis_p)}")
-    if q_gram.shape != (len(basis_q), len(basis_q)):
-        raise ValueError(f"q_gram must be {len(basis_q)}x{len(basis_q)}")
-    for label, mat in (("p", p_gram), ("q", q_gram)):
+    for label, bmap, mat in (("p", maps[0], p_gram), ("q", maps[1], q_gram)):
+        size = len(bmap.basis)
+        if mat.shape != (size, size):
+            raise ValueError(f"{label}_gram must be {size}x{size}")
         eigmin = float(np.min(np.linalg.eigvalsh(mat)))
         if eigmin <= 0:
             raise ValueError(
@@ -200,17 +186,10 @@ def certificate_to_moments(
                 f"(min eigenvalue {eigmin:.3e})"
             )
 
-    def gram_poly(basis, mat):
-        out = Poly.zero(n, exact=False)
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                if mat[i, j]:
-                    out = out + Poly.monomial(
-                        tuple(x + y for x, y in zip(a, b)), mat[i, j], exact=False
-                    )
-        return out
-
-    identity = gram_poly(basis_p, p_gram) + g.to_float() * gram_poly(basis_q, q_gram) - 1.0
+    alphas = maps[0].alphas
+    coeffs = maps[0].adjoint(p_gram) + maps[1].adjoint(q_gram)
+    coeffs[0] -= 1.0
+    identity = Poly(n, dict(zip(alphas, coeffs)), exact=False)
     if float(identity.max_coeff()) > tol:
         raise CertificateError(
             f"identity 1 = p + g*q violated (max residual coefficient "
@@ -221,34 +200,22 @@ def certificate_to_moments(
     moment_candidate = np.linalg.inv(p_gram)
     shifted_candidate = np.linalg.inv(q_gram)
 
-    # Least-squares fit of one moment vector matching both candidates.
-    alphas = monomial_basis(n, 2 * t)
-    index = {a: k for k, a in enumerate(alphas)}
+    # Least-squares fit of one moment vector matching both candidates on
+    # their upper triangles.
+    unit = np.eye(len(alphas))
     rows, rhs = [], []
-    for i, a in enumerate(basis_p):
-        for j in range(i, len(basis_p)):
-            row = np.zeros(len(alphas))
-            row[index[tuple(x + y for x, y in zip(a, basis_p[j]))]] = 1.0
-            rows.append(row)
-            rhs.append(moment_candidate[i, j])
-    for i, a in enumerate(basis_q):
-        for j in range(i, len(basis_q)):
-            row = np.zeros(len(alphas))
-            for gamma, c in g.terms.items():
-                idx = tuple(x + y + z for x, y, z in zip(a, basis_q[j], gamma))
-                row[index[idx]] += float(c)
-            rows.append(row)
-            rhs.append(shifted_candidate[i, j])
+    for bmap, cand in zip(maps, (moment_candidate, shifted_candidate)):
+        upper = np.triu_indices(len(bmap.basis))
+        rows.append(bmap.matrix(unit)[upper])
+        rhs.append(cand[upper])
     a_mat = np.vstack(rows)
-    b_vec = np.array(rhs)
+    b_vec = np.concatenate(rhs)
     solution, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     fit_residual = float(np.max(np.abs(a_mat @ solution - b_vec)))
-    phi = MomentSequence(
-        n, 2 * t, {a: float(solution[index[a]]) for a in alphas}
-    )
+    phi = MomentSequence(n, 2 * t, dict(zip(alphas, solution.tolist())))
     return CertificateMoments(
-        moment_candidate=MomentMatrix(basis_p, moment_candidate),
-        shifted_candidate=MomentMatrix(basis_q, shifted_candidate),
+        moment_candidate=MomentMatrix(maps[0].basis, moment_candidate),
+        shifted_candidate=MomentMatrix(maps[1].basis, shifted_candidate),
         phi=phi,
         fit_residual=fit_residual,
     )

@@ -267,3 +267,16 @@ def test_poly_grid_csv(tmp_path, model_moments):
     assert len(rows) == 1 + 25
     x, y, value = map(float, rows[1])
     assert abs(value - float(lam.to_float().evaluate((x, y)))) < 1e-12
+
+
+@pytest.mark.parametrize("name,t", [("simplex2d", 3), ("box2d", 2)])
+def test_weighted_christoffel_is_generator_times_plain(name, t, model_moments):
+    genset = eq.builtin_set(name)
+    phi = model_moments(name, 2 * t)
+    for g in genset.active(t):
+        block = eq.localizing_matrix(phi, g, t - g.half_degree)
+        assert christoffel_inverse_poly(block, g) == g * christoffel_inverse_poly(block)
+        block = block.to_float()
+        weighted = christoffel_inverse_poly(block, g)
+        product = g.to_float() * christoffel_inverse_poly(block)
+        assert float((weighted - product).max_coeff()) <= 1e-12 * float(product.max_coeff())

@@ -178,3 +178,8 @@ def test_matrix_json_round_trip(model_moments):
     assert data["basis"][1] == [1, 0]
     assert len(data["entries"]) == 9
     assert data["entries"][4] == pytest.approx(1 / 3, abs=1e-16)
+
+
+def test_generator_set_rejects_zero_generator():
+    with pytest.raises(ValueError, match="nonzero"):
+        eq.GeneratorSet(n=1, generators=(Poly.zero(1),), radius=Fraction(1))

@@ -1,9 +1,12 @@
 """Classical and generalized Pell identity checks, slices, and certificates."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import equipell as eq
+from equipell.christoffel import SingularMatrixError
 from equipell.pellcheck import (
     CertificateError,
     certificate_to_moments,
@@ -172,3 +175,15 @@ def test_pell_precondition_excludes_high_degree_generators(model_moments):
     report = generalized_pell_residual(genset, model_moments("box2d", 2), 1)
     assert report.constant == 5
     assert len(report.per_generator) == 3
+
+
+def test_pell_residual_singular_names_generator():
+    # uniform measure on the unit circle: the disc generator vanishes on it
+    genset = eq.builtin_set("ball2d")
+    half = Fraction(1, 2)
+    values = {(0, 0): 1, (1, 0): 0, (0, 1): 0, (2, 0): half, (1, 1): 0, (0, 2): half}
+    circle = eq.MomentSequence(2, 2, {a: Fraction(v) for a, v in values.items()})
+    with pytest.raises(SingularMatrixError, match="generator") as err:
+        generalized_pell_residual(genset, circle, 1)
+    assert err.value.generator == genset.generators[0]
+    assert err.value.pivot == 0
